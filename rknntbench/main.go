@@ -146,7 +146,11 @@ func run(cfg config, w io.Writer) (*result, error) {
 	} else {
 		p := drive(e.gen.next, e.x, loop{clients: s.clients, open: s.open, d: d})
 		phases = []*phase{p}
-		metrics = endToEnd(s, p, setups, heapMB, w)
+		keep := func(*op) bool { return true }
+		if g, ok := e.gen.(*coldGen); ok {
+			keep = g.wholeCycle
+		}
+		metrics = endToEnd(s, p, keep, setups, heapMB, w)
 	}
 
 	res := &result{Metrics: metrics}
@@ -233,8 +237,9 @@ func percentile(w io.Writer, m map[string]metric, name string, xs []float64, q f
 // metrics in BENCHMARK.json are named by role so that every workload
 // reports all of them: "read" is the workload's answer request and
 // "aux" its second request class. Lines without a result entry give
-// the workload-specific names of the same and further figures.
-func endToEnd(s *spec, p *phase, setups []float64, heapMB float64, w io.Writer) map[string]metric {
+// the workload-specific names of the same and further figures. Latency
+// percentiles are taken over the ops keep selects.
+func endToEnd(s *spec, p *phase, keep func(*op) bool, setups []float64, heapMB float64, w io.Writer) map[string]metric {
 	m := map[string]metric{}
 	report(w, m, "setup_s", "s", median(setups), fmt.Sprintf("  (median of %d set-ups)", len(setups)))
 	report(w, m, "heap_mb", "MB", heapMB, "")
@@ -252,9 +257,9 @@ func endToEnd(s *spec, p *phase, setups []float64, heapMB float64, w io.Writer) 
 		}
 	}
 	report(w, m, "reads_per_s", "1/s", float64(answers)/p.elapsed.Seconds(), "")
-	reads := latencies(p, s.read)
+	reads := latencies(p, func(o *op) bool { return s.read(o) && keep(o) })
 	percentile(w, m, "read_p50_ms", reads, 0.50)
-	aux := latencies(p, s.aux)
+	aux := latencies(p, func(o *op) bool { return s.aux(o) && keep(o) })
 	percentile(w, m, "aux_p50_ms", aux, 0.50)
 	percentile(w, nil, "read_p90_ms", reads, 0.90)
 	percentile(w, nil, "read_p99_ms", reads, 0.99)

@@ -28,6 +28,16 @@ const (
 	coldBatch       = 16 // queries per /v1/rknnt/batch, sent once per coldBatch singletons
 	coldSampleEvery = 8  // every 8th singleton and every 8th batch is checked by the oracle
 	coldWarmQueries = 32
+	// The cold queries are jittered copies of two fixed pools, like the
+	// city: coldSingles singletons, one per route, and coldBatches
+	// batches. A 30 s run goes through each pool about four times.
+	// Queries drawn afresh from the seed made the median query cost of a
+	// run differ by 7.5% (quartile distance over median, ten seeds, same
+	// host and time) before any timing noise.
+	coldSingles  = 300
+	coldBatches  = 24
+	coldPoolSeed = 4244
+	coldJitter   = 0.005 // km
 
 	// warmSeed draws the warm-up ops of every workload. They are fixed,
 	// like the cities, so that setup_s measures the same work whatever
@@ -100,6 +110,7 @@ type op struct {
 	due    time.Duration // open loop: when the op is due, from the phase start
 	after  *op           // an earlier op that must complete before this one is sent
 	sample bool          // checked by the oracle
+	cycle  int           // cold-query: the cycle of its pool the op belongs to
 	gen    int           // plan-live: transition writes issued before this op
 	// fresh marks a plan-live plan sent right after a write: it pays
 	// the planner precompute the write made stale.
@@ -142,8 +153,13 @@ type spec struct {
 }
 
 var specs = map[string]*spec{
+	// cold-query runs one client. With two, a singleton took about half
+	// as long beside another singleton as beside a batch (which spreads
+	// over both cores), a batch was in flight half the time, and the
+	// singleton median fell between the two cases: it swung by a quarter
+	// from run to run.
 	"cold-query": {
-		name: "cold-query", clients: 2, read: isKind(opQuery), aux: isKind(opBatch),
+		name: "cold-query", clients: 1, read: isKind(opQuery), aux: isKind(opBatch),
 		newGen: func(c *gen.City, seed int64, _ time.Duration) generator { return newColdGen(c, seed) },
 	},
 	"live-mix": {
@@ -186,6 +202,7 @@ func (s *spec) params() map[string]any {
 		p["city"] = fmt.Sprintf("LA/%d", cityScale)
 		p["loop"] = "closed"
 		p["batch_size"] = coldBatch
+		p["pools"] = fmt.Sprintf("%d singletons, %d batches, pool seed %d, jitter %g km", coldSingles, coldBatches, coldPoolSeed, coldJitter)
 		p["mix"] = fmt.Sprintf("%d singleton /v1/rknnt then one /v1/rknnt/batch of %d", coldBatch, coldBatch)
 	case "live-mix":
 		p["city"] = fmt.Sprintf("LA/%d", cityScale)
@@ -217,27 +234,17 @@ func randomTransition(c *gen.City, rng *rand.Rand, id model.TransitionID) model.
 
 // --- cold-query ---
 
-type coldGen struct {
-	city       *gen.City
-	rng        *rand.Rand
-	seq        int
-	routes     []int // routes left in the current round, in drawing order
-	singletons int   // singleton ops issued
-	batches    int   // batch ops issued
+// routeDrawer draws queries the way gen.City.Query does (a uniform point
+// of a route, then |Q|-1 steps of I km with a wandering heading), except
+// that routes are taken in rounds, each round a fresh permutation of all
+// routes, so that every route starts as many queries.
+type routeDrawer struct {
+	city   *gen.City
+	rng    *rand.Rand
+	routes []int // routes left in the current round, in drawing order
 }
 
-func newColdGen(c *gen.City, seed int64) *coldGen {
-	return &coldGen{city: c, rng: rand.New(rand.NewSource(seed))}
-}
-
-// query draws a query the way gen.City.Query does (a uniform point of a
-// route, then |Q|-1 steps of I km with a wandering heading), except that
-// routes are taken in rounds, each round a fresh permutation of all
-// routes. Each query is still uniform over routes, but
-// every route starts as many queries in every run, so the cost mix of a
-// run does not depend on which parts of the city its seed happened to
-// favour.
-func (g *coldGen) query() []geo.Point {
+func (g *routeDrawer) query() []geo.Point {
 	if len(g.routes) == 0 {
 		g.routes = g.rng.Perm(len(g.city.Dataset.Routes))
 	}
@@ -254,10 +261,96 @@ func (g *coldGen) query() []geo.Point {
 	return q
 }
 
+// coldRequest is one request of the cold-query pools: a singleton (one
+// query) or a batch (coldBatch queries), with its k.
+type coldRequest struct {
+	k       int
+	queries [][]geo.Point
+}
+
+// coldCycle hands out the requests of a fixed pool in cycles, each
+// cycle a fresh permutation of the pool drawn from the seed.
+type coldCycle struct {
+	pool   []coldRequest
+	order  []int // pool entries left in the current cycle
+	handed int   // requests handed out
+}
+
+// next returns the next request and the cycle it belongs to.
+func (c *coldCycle) next(rng *rand.Rand) (coldRequest, int) {
+	if len(c.order) == 0 {
+		c.order = rng.Perm(len(c.pool))
+	}
+	r := c.pool[c.order[0]]
+	c.order = c.order[1:]
+	c.handed++
+	return r, (c.handed - 1) / len(c.pool)
+}
+
+// whole reports how many cycles of the pool were handed out in full.
+func (c *coldCycle) whole() int { return c.handed / len(c.pool) }
+
+// coldPools draws the fixed singleton and batch pools: every singleton
+// pool entry starts on its own route, and k cycles through queryKs in
+// both pools.
+func coldPools(c *gen.City) (singles, batches []coldRequest) {
+	d := &routeDrawer{city: c, rng: rand.New(rand.NewSource(coldPoolSeed))}
+	for i := 0; i < coldSingles; i++ {
+		singles = append(singles, coldRequest{queryKs[i%len(queryKs)], [][]geo.Point{d.query()}})
+	}
+	for i := 0; i < coldBatches; i++ {
+		b := coldRequest{k: queryKs[i%len(queryKs)]}
+		for j := 0; j < coldBatch; j++ {
+			b.queries = append(b.queries, d.query())
+		}
+		batches = append(batches, b)
+	}
+	return singles, batches
+}
+
+type coldGen struct {
+	city                *gen.City
+	rng                 *rand.Rand
+	seq                 int
+	singles, batchPool  coldCycle
+	singletons, batches int // singleton and batch ops issued
+}
+
+func newColdGen(c *gen.City, seed int64) *coldGen {
+	singles, batches := coldPools(c)
+	return &coldGen{city: c, rng: rand.New(rand.NewSource(seed)), singles: coldCycle{pool: singles}, batchPool: coldCycle{pool: batches}}
+}
+
+// jittered returns q moved as a whole by up to coldJitter km along each
+// axis, so that no query repeats one the result cache holds.
+func (g *coldGen) jittered(q []geo.Point) []geo.Point {
+	dx := (2*g.rng.Float64() - 1) * coldJitter
+	dy := (2*g.rng.Float64() - 1) * coldJitter
+	out := make([]geo.Point, len(q))
+	for i, p := range q {
+		out[i] = geo.Pt(p.X+dx, p.Y+dy)
+	}
+	return out
+}
+
+// wholeCycle reports whether o belongs to a cycle of its pool that the
+// run sent in full, or the run sent no full cycle of that pool. Latency
+// medians are taken over these ops only, so that every run takes them
+// over the same multiset of requests: a median over the last, partial
+// cycle too moved with the seed by up to a tenth on batches, whose cost
+// spans a factor of 20 across the pool.
+func (g *coldGen) wholeCycle(o *op) bool {
+	c := &g.singles
+	if o.kind == opBatch {
+		c = &g.batchPool
+	}
+	return o.cycle < c.whole() || c.whole() == 0
+}
+
 // warmup sends queries and batches drawn from a fixed seed, so every
 // run's set-up does the same work.
 func (g *coldGen) warmup() []*op {
-	warm := &coldGen{city: g.city, rng: rand.New(rand.NewSource(warmSeed))}
+	warm := &routeDrawer{city: g.city, rng: rand.New(rand.NewSource(warmSeed))}
 	ops := make([]*op, 0, coldWarmQueries+2)
 	for i := 0; i < coldWarmQueries; i++ {
 		ops = append(ops, &op{seq: -1, kind: opQuery, k: queryKs[i%len(queryKs)], query: warm.query()})
@@ -273,19 +366,21 @@ func (g *coldGen) warmup() []*op {
 }
 
 // next returns coldBatch singletons, then one batch of coldBatch
-// queries, and so on. k cycles through queryKs, separately for
-// singletons and for batches, so that every run has the same k mix.
+// queries, and so on, each a jittered copy of the next request of its
+// pool's cycle.
 func (g *coldGen) next() *op {
 	o := &op{seq: g.seq}
 	if g.seq%(coldBatch+1) == coldBatch {
-		o.kind, o.k = opBatch, queryKs[g.batches%len(queryKs)]
-		for j := 0; j < coldBatch; j++ {
-			o.batch = append(o.batch, g.query())
+		r, cycle := g.batchPool.next(g.rng)
+		o.kind, o.k, o.cycle = opBatch, r.k, cycle
+		for _, q := range r.queries {
+			o.batch = append(o.batch, g.jittered(q))
 		}
 		o.sample = g.batches%coldSampleEvery == 0
 		g.batches++
 	} else {
-		o.kind, o.k, o.query = opQuery, queryKs[g.singletons%len(queryKs)], g.query()
+		r, cycle := g.singles.next(g.rng)
+		o.kind, o.k, o.query, o.cycle = opQuery, r.k, g.jittered(r.queries[0]), cycle
 		o.sample = g.singletons%coldSampleEvery == 0
 		g.singletons++
 	}
