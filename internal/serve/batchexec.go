@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -11,10 +14,10 @@ import (
 // RkNNTBatch answers a batch of RkNNT queries sharing one option set
 // against a single snapshot. Each query is served exactly as RkNNT
 // would serve it — cache probe, journal repair of stale hits,
-// intra-batch dedup of identical queries — but every cache miss in the
-// batch executes together through core.BatchRkNNT, which traverses
-// each TR-tree shard once for the whole group and verifies candidates
-// through the multi-query block kernels. results[i] answers queries[i].
+// intra-batch dedup of identical queries — and the cache misses run
+// core.RkNNT concurrently over a bounded worker pool (executeBatch), so
+// a batch's gain is cross-query parallelism. results[i] answers
+// queries[i].
 //
 // The batch executes under one read-lock acquisition, so every miss is
 // answered at the same epoch vector. An execution error (invalid
@@ -25,7 +28,6 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	opts.Parallel = true
 	opts.Tuner = e.tuner
 	opts.Trace = nil // the batch path runs untraced
 	t0 := time.Now()
@@ -79,24 +81,41 @@ func (e *Engine) RkNNTBatch(queries [][]geo.Point, opts core.Options) ([]*QueryR
 }
 
 // executeBatch runs the cache-missing subset of a batch (execIdx into
-// queries/keys) through core.BatchRkNNT under one read-lock hold,
+// queries/keys) through core.RkNNT on at most GOMAXPROCS workers, which
+// claim misses from a shared cursor, under one read-lock hold. It
 // caches each result and writes it to out. Callers have already probed
 // the cache for every execIdx member and deduplicated identical keys.
 func (e *Engine) executeBatch(keys []string, queries [][]geo.Point, execIdx []int, opts core.Options, out []*QueryResult) error {
-	execQs := make([][]geo.Point, len(execIdx))
-	for i, qi := range execIdx {
-		execQs[i] = queries[qi]
-	}
-	t0 := time.Now()
-	idsAll, statsAll, vec, err := func() ([][]model.TransitionID, []*core.Stats, EpochVec, error) {
+	idsAll := make([][]model.TransitionID, len(execIdx))
+	statsAll := make([]*core.Stats, len(execIdx))
+	errs := make([]error, len(execIdx))
+	workers := min(runtime.GOMAXPROCS(0), len(execIdx))
+	// Several workers already keep the processors busy, so each query
+	// runs sequentially; nested fan-out would also inflate the verify
+	// costs the shared refine tuner measures.
+	opts.Parallel = workers == 1
+	vec := func() EpochVec {
 		e.rlockAll()
 		defer e.runlockAll()
-		ids, stats, err := core.BatchRkNNT(e.idx, execQs, opts)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := int(next.Add(1) - 1); j < len(execIdx); j = int(next.Add(1) - 1) {
+					idsAll[j], statsAll[j], errs[j] = core.RkNNT(e.idx, queries[execIdx[j]], opts)
+				}
+			}()
+		}
+		wg.Wait()
 		// Exact under the read locks: no commit is in flight.
-		return ids, stats, e.epochVecQuiescent(), err
+		return e.epochVecQuiescent()
 	}()
-	if err != nil {
-		return err
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	for i, qi := range execIdx {
 		stats := statsAll[i]
@@ -113,8 +132,5 @@ func (e *Engine) executeBatch(keys []string, queries [][]geo.Point, execIdx []in
 		out[qi] = res
 	}
 	e.mx.batchExecuted.Add(uint64(len(execIdx)))
-	// Feed the coalescer's window model the marginal per-query cost of
-	// batched execution.
-	e.coal.observeExec(time.Since(t0), len(execIdx))
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/model"
@@ -17,8 +18,19 @@ import (
 // random batches and option sets, every answer from RkNNTBatch must be
 // identical to a fresh core computation over an independent copy of the
 // dataset, and a repeated batch must serve entirely from the cache.
+// Transitions carry timestamps and about half the trials query a random
+// time window.
 func TestRkNNTBatchMatchesSingle(t *testing.T) {
-	city, x := testCity(t)
+	cfg := gen.LA(64)
+	cfg.TimeSpan = 1000
+	city, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := index.Build(city.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := New(x, Options{})
 	defer e.Close()
 	x2, err := index.Build(city.Dataset)
@@ -28,11 +40,17 @@ func TestRkNNTBatchMatchesSingle(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(41))
 	methods := []core.Method{core.FilterRefine, core.Voronoi, core.DivideConquer, core.BruteForce}
+	windowed := 0
 	for trial := 0; trial < 6; trial++ {
 		opts := core.Options{
 			K:         1 + rng.Intn(8),
 			Method:    methods[trial%len(methods)],
 			Semantics: core.Semantics(rng.Intn(2)),
+		}
+		if rng.Intn(2) == 0 {
+			opts.TimeFrom = 1 + rng.Int63n(cfg.TimeSpan)
+			opts.TimeTo = opts.TimeFrom + rng.Int63n(cfg.TimeSpan)
+			windowed++
 		}
 		queries := make([][]geo.Point, 3+rng.Intn(10))
 		for i := range queries {
@@ -66,6 +84,9 @@ func TestRkNNTBatchMatchesSingle(t *testing.T) {
 			}
 		}
 	}
+	if windowed == 0 {
+		t.Fatal("no trial queried a time window")
+	}
 	if s := e.EngineStats(); s.BatchRequests == 0 || s.BatchQueries == 0 || s.BatchExecuted == 0 {
 		t.Fatalf("batch counters did not advance: %+v", s)
 	}
@@ -93,6 +114,10 @@ func TestRkNNTBatchEdges(t *testing.T) {
 	}
 	if _, err := e.RkNNTBatch([][]geo.Point{queryY0}, core.Options{K: 0}); err == nil {
 		t.Fatal("K=0: want error")
+	}
+	// One failing miss fails the whole batch.
+	if _, err := e.RkNNTBatch([][]geo.Point{{geo.Pt(0, 1), geo.Pt(10, 1)}, nil}, core.Options{K: 1}); err == nil {
+		t.Fatal("empty member: want error")
 	}
 }
 
@@ -227,86 +252,6 @@ func TestShardedCacheChurnMatchesOracle(t *testing.T) {
 		if sum != s.CacheEntries {
 			t.Fatalf("shard entry counts sum to %d, CacheEntries %d", sum, s.CacheEntries)
 		}
-	}
-}
-
-// TestCoalescedMatchesSingle checks the coalescer end to end: with a
-// forced wide window, concurrent cache-missing singletons merge into
-// micro-batches whose answers must match fresh core computations.
-func TestCoalescedMatchesSingle(t *testing.T) {
-	city, x := testCity(t)
-	e := New(x, Options{Coalesce: true, CoalesceMaxBatch: 8})
-	defer e.Close()
-	x2, err := index.Build(city.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the window model so the gather window clamps to its maximum:
-	// concurrent enqueues below reliably land in one group.
-	ewmaStore(&e.coal.perQuery, 1.0)
-
-	rng := rand.New(rand.NewSource(59))
-	opts := core.Options{K: 5, Method: core.DivideConquer}
-	queries := make([][]geo.Point, 24)
-	for i := range queries {
-		queries[i] = city.Query(rng, 3, 3)
-	}
-	results := make([]*QueryResult, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	for i := range queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = e.RkNNT(queries[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		want, _, err := core.RkNNT(x2, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(results[i].Transitions, want) && !(len(results[i].Transitions) == 0 && len(want) == 0) {
-			t.Fatalf("query %d: coalesced %v, core %v", i, results[i].Transitions, want)
-		}
-	}
-	s := e.EngineStats()
-	if s.BatchCoalesced == 0 {
-		t.Fatal("no queries were coalesced despite a maximum gather window")
-	}
-	if s.CoalesceWindowMicros <= 0 {
-		t.Fatalf("CoalesceWindowMicros = %v", s.CoalesceWindowMicros)
-	}
-	// Coalesced answers enter the ordinary result cache.
-	res, err := e.RkNNT(queries[0], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cached {
-		t.Error("coalesced result did not populate the cache")
-	}
-}
-
-// TestCoalesceErrorBypass checks empty queries bypass the coalescer
-// (their validation error must not poison a group) while valid
-// singletons still answer correctly through it.
-func TestCoalesceErrorBypass(t *testing.T) {
-	x := twoRoutes(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
-	e := New(x, Options{Coalesce: true})
-	defer e.Close()
-	if _, err := e.RkNNT(nil, core.Options{K: 1}); err == nil {
-		t.Fatal("empty query: want error")
-	}
-	res, err := e.RkNNT(queryY0, core.Options{K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transitions) != 1 || res.Transitions[0] != 7 {
-		t.Fatalf("coalesced singleton: %v", res.Transitions)
 	}
 }
 

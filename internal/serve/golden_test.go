@@ -23,6 +23,7 @@ import (
 	"repro/internal/dataio"
 	"repro/internal/geo"
 	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/model"
 )
 
@@ -43,7 +44,13 @@ var goldenFiles = []string{
 // chain — are deterministic.
 func buildGoldenChain(t *testing.T, dir string) string {
 	t.Helper()
-	city, x := smallCity(t)
+	city, _ := smallCity(t)
+	// The fixture bytes depend on the shard layout, so pin it rather
+	// than inherit the GOMAXPROCS-derived default.
+	x, err := index.BuildOpts(city.Dataset, index.Options{TRShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	vertexOf := make(map[model.StopID]graph.VertexID)
 	for i := 0; i < city.Graph.NumVertices(); i++ {
 		vertexOf[model.StopID(i)] = graph.VertexID(i)

@@ -31,13 +31,12 @@ type engineMetrics struct {
 	cachePurges  *obs.Counter
 	dedupHits    *obs.Counter
 
-	// Batched query execution (batchexec.go, coalesce.go).
-	batchRequests  *obs.Counter
-	batchQueries   *obs.Counter
-	batchExecuted  *obs.Counter
-	batchCoalesced *obs.Counter
-	batchSize      *obs.Histogram // queries per batch request / coalesced group
-	batchLatency   *obs.Histogram // end-to-end RkNNTBatch wall clock
+	// Batched query execution (batchexec.go).
+	batchRequests *obs.Counter
+	batchQueries  *obs.Counter
+	batchExecuted *obs.Counter
+	batchSize     *obs.Histogram // queries per batch request
+	batchLatency  *obs.Histogram // end-to-end RkNNTBatch wall clock
 
 	// Write pipelines.
 	batches       *obs.Counter
@@ -101,12 +100,11 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		cachePurges:  reg.Counter("rknnt_cache_purges_total", "Full result-cache purges (route changes, oversized deltas)."),
 		dedupHits:    reg.Counter("rknnt_inflight_dedup_total", "Queries served by sharing an identical in-flight execution."),
 
-		batchRequests:  reg.Counter("rknnt_batch_requests_total", "RkNNTBatch calls (batch endpoint requests)."),
-		batchQueries:   reg.Counter("rknnt_batch_queries_total", "Queries submitted through RkNNTBatch."),
-		batchExecuted:  reg.Counter("rknnt_batch_executed_total", "Cache-missing queries executed through the shared-traversal batch core."),
-		batchCoalesced: reg.Counter("rknnt_batch_coalesced_total", "Singleton queries merged into coalesced micro-batches of two or more."),
-		batchSize:      reg.Histogram("rknnt_batch_size", "Queries per batch request.", 1),
-		batchLatency:   reg.Histogram("rknnt_batch_seconds", "End-to-end batch request latency.", nanos),
+		batchRequests: reg.Counter("rknnt_batch_requests_total", "RkNNTBatch calls (batch endpoint requests)."),
+		batchQueries:  reg.Counter("rknnt_batch_queries_total", "Queries submitted through RkNNTBatch."),
+		batchExecuted: reg.Counter("rknnt_batch_executed_total", "Cache-missing queries executed by RkNNTBatch's worker pool."),
+		batchSize:     reg.Histogram("rknnt_batch_size", "Queries per batch request.", 1),
+		batchLatency:  reg.Histogram("rknnt_batch_seconds", "End-to-end batch request latency.", nanos),
 
 		batches:    reg.Counter("rknnt_write_batches_total", "Committed coalesced write batches."),
 		batchedOps: reg.Counter("rknnt_write_ops_total", "Write operations committed via batches."),
@@ -202,9 +200,6 @@ func newEngineMetrics(e *Engine, shards int) *engineMetrics {
 		for s, n := range e.cache.ShardLens() {
 			emit([]string{strconv.Itoa(s)}, float64(n))
 		}
-	})
-	reg.GaugeFunc("rknnt_batch_window_seconds", "Current adaptive micro-batch coalescing window; tracks half the measured per-query batched execution cost.", func() float64 {
-		return e.coal.window().Seconds()
 	})
 	reg.GaugeFunc("rknnt_standing_queries", "Registered standing queries.", func() float64 {
 		return float64(e.standing.Load())

@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -133,7 +134,8 @@ func TestRepairedCacheMatchesFresh(t *testing.T) {
 // removals-then-adds from flat lists would rank-check the already-dead
 // transition (the check is purely geometric) and serve its ID from
 // cache forever. The shard pipeline's apply is driven directly so the
-// coalescing is deterministic.
+// coalescing is deterministic; each batch goes to the pipeline the
+// engine would route its first op to.
 func TestRepairAddRemoveSameBatch(t *testing.T) {
 	x := twoRoutes(t, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)})
 	e := New(x, Options{})
@@ -150,7 +152,7 @@ func TestRepairAddRemoveSameBatch(t *testing.T) {
 		mk(opAddTransition, ghost, 0),
 		mk(opRemoveTransition, model.Transition{}, 8),
 	}
-	e.pipes[e.idx.HomeShard(8)].applyShard(batch)
+	e.pipelineFor(&batch[0]).applyShard(batch)
 	for _, op := range batch {
 		<-op.done
 	}
@@ -172,7 +174,7 @@ func TestRepairAddRemoveSameBatch(t *testing.T) {
 		mk(opRemoveTransition, model.Transition{}, 7),
 		mk(opAddTransition, model.Transition{ID: 7, O: geo.Pt(1, 1), D: geo.Pt(9, 1)}, 0),
 	}
-	e.pipes[e.idx.HomeShard(7)].applyShard(batch)
+	e.pipelineFor(&batch[0]).applyShard(batch)
 	for _, op := range batch {
 		<-op.done
 	}
@@ -182,6 +184,62 @@ func TestRepairAddRemoveSameBatch(t *testing.T) {
 	}
 	if len(got.Transitions) != 1 || got.Transitions[0] != 7 {
 		t.Fatalf("remove+re-add in one batch lost the transition: %v", got.Transitions)
+	}
+}
+
+// TestRemoveReAddForeignPlacement removes and then re-adds, through the
+// public API, a bulk-loaded transition whose shard (ShardOf) is not its
+// home shard: the remove commits on the shard holding it, the re-add on
+// its home shard, and the transition must be present and answered
+// afterwards.
+func TestRemoveReAddForeignPlacement(t *testing.T) {
+	var ts []model.Transition
+	for i := 0; i < 8; i++ {
+		y := float64(i) * 0.5
+		ts = append(ts, model.Transition{ID: model.TransitionID(10 + i), O: geo.Pt(1, y), D: geo.Pt(9, y)})
+	}
+	ds := &model.Dataset{
+		Routes: []model.Route{
+			{ID: 1, Stops: []model.StopID{0, 1}, Pts: []geo.Point{geo.Pt(0, 10), geo.Pt(10, 10)}},
+			{ID: 2, Stops: []model.StopID{2, 3}, Pts: []geo.Point{geo.Pt(0, 100), geo.Pt(10, 100)}},
+		},
+		Transitions: ts,
+	}
+	x, err := index.BuildOpts(ds, index.Options{TRShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr *model.Transition
+	for i := range ts {
+		if s, _ := x.ShardOf(ts[i].ID); s != x.HomeShard(ts[i].ID) {
+			tr = &ts[i]
+			break
+		}
+	}
+	if tr == nil {
+		t.Fatal("no bulk-loaded transition sits off its home shard")
+	}
+	e := New(x, Options{})
+	defer e.Close()
+	opts := core.Options{K: 1}
+	if _, err := e.RkNNT(queryY0, opts); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	if existed, err := e.RemoveTransitions([]model.TransitionID{tr.ID}); err != nil || !existed[0] {
+		t.Fatalf("remove: existed %v, err %v", existed, err)
+	}
+	if errs := e.AddTransitions([]model.Transition{*tr}); errs[0] != nil {
+		t.Fatalf("re-add: %v", errs[0])
+	}
+	if e.Transition(tr.ID) == nil {
+		t.Fatalf("transition %d missing after remove and re-add", tr.ID)
+	}
+	got, err := e.RkNNT(queryY0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(got.Transitions, tr.ID) {
+		t.Fatalf("transition %d not answered after remove and re-add: %v", tr.ID, got.Transitions)
 	}
 }
 
